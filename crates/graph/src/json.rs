@@ -66,12 +66,15 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed JSON or trailing input after
-    /// the document.
+    /// Returns a [`JsonError`] on malformed JSON, trailing input after
+    /// the document, or arrays and objects nested more than 128 levels
+    /// deep.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -223,9 +226,17 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a cap a line of `[`s overflows
+/// the stack; real documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -272,11 +283,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
@@ -304,58 +328,55 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next `"` or `\` at once. Both
+            // delimiters are ASCII, so the run ends on a char boundary of
+            // the (already valid UTF-8) input.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(text);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-scan the full UTF-8 character starting here.
-                    self.pos -= 1;
-                    let tail = self
+            if b == b'"' {
+                return Ok(out);
+            }
+            // The run stopped at a backslash: decode one escape.
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.pos..)
-                        .ok_or_else(|| self.err("truncated input"))?;
-                    let rest = std::str::from_utf8(tail).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("truncated input"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    self.pos += 4;
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?,
+                    );
                 }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -568,6 +589,22 @@ mod tests {
         for text in ["", "{", "[1,]", "{\"a\" 1}", "nul", "1 2", "\"\\q\""] {
             assert!(Value::parse(text).is_err(), "{text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let error = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            format!("json error: nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Far past the cap (and far past what the stack could recurse
+        // through), objects and arrays alike.
+        let deep = "[{\"a\":".repeat(100_000);
+        assert!(Value::parse(&deep).is_err());
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Snapshot fingerprinting for the engine's artifact cache.
+//! Snapshot fingerprinting for routing and the engine's artifact cache.
 //!
 //! Cache keys must be (a) cheap relative to forest extraction, (b) a
 //! pure function of snapshot *content* so equal snapshots collide on
@@ -7,6 +7,14 @@
 //! [`InfectedNetwork`] already
 //! round-trips every field bit-exactly, so hashing those bytes with
 //! FNV-1a gives all three without a new serialization path.
+//!
+//! The server computes one fingerprint per request and uses it both to
+//! route and to key the artifact cache. On a framed line that is
+//! [`fingerprint_bytes`] over the raw snapshot span, which for
+//! canonical clients equals [`snapshot_fingerprint`] without
+//! re-serializing anything. [`snapshot_fingerprint`] remains for lines
+//! the framing scanner does not accept and for watch-session artifact
+//! adoption, where no request bytes exist.
 
 use isomit_diffusion::InfectedNetwork;
 

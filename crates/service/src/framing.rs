@@ -10,8 +10,8 @@
 //! needs its payload decoded, or when the line is in any way unusual.
 //!
 //! The scanner is deliberately strict: *any* anomaly — malformed JSON,
-//! a non-integer id, an escaped `type` string, a duplicated tracked
-//! key — yields `None`, and the caller takes the slow path, whose
+//! a non-integer id, an escaped `type` string or key, a duplicated
+//! tracked key — yields `None`, and the caller takes the slow path, whose
 //! structured errors are the protocol's source of truth. The scanner
 //! can therefore never change what a client observes; it only decides
 //! how cheaply a well-formed line is served.
@@ -68,6 +68,12 @@ pub fn scan(line: &str) -> Option<Frame<'_>> {
         pos = skip_ws(bytes, pos);
         let (key_start, key_end) = scan_string(bytes, pos)?;
         let key = line.get(key_start..key_end)?;
+        // The full parser decodes escaped keys (`"snap\u0073hot"` is
+        // `snapshot`), so one could hide a second tracked key from
+        // `set_once` and make the spans disagree with the parsed request.
+        if key.contains('\\') {
+            return None;
+        }
         pos = skip_ws(bytes, key_end + 1);
         if bytes.get(pos) != Some(&b':') {
             return None;
@@ -279,11 +285,20 @@ mod tests {
             r#"{"id": 1, "type": "heal\th"}"#,                // escaped verb
             r#"{"id": 1, "type": "health""#,                  // truncated
             r#"{"id": 1, "id": 2, "type": "health"}"#,        // duplicate key
+            r#"{"id": 1, "type": "stats", "\u0069d": 2}"#,    // escaped key
             r#"{"id": 1, "type": "health"} trailing"#,        // trailing junk
             r#"{"id": 1, "type": "rid", "fingerprint": 42}"#, // numeric fp
         ] {
             assert_eq!(scan(line), None, "line: {line}");
         }
+    }
+
+    #[test]
+    fn an_escaped_key_cannot_hide_a_duplicate_snapshot() {
+        // The full parser reads the first key as `snapshot`; a span of
+        // the second would name a different snapshot.
+        let line = r#"{"id": 1, "type": "rid", "snap\u0073hot": [1], "snapshot": [2]}"#;
+        assert_eq!(scan(line), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The **detector bakeoff**: every `SourceDetector` × diffusion model ×
+//! The **detector bakeoff**: every `DetectorKind` × diffusion model ×
 //! network family, graded on precision / recall / F1 and
 //! rank-of-true-source, with per-detector latency distributions.
 //!
@@ -15,17 +15,18 @@
 //! detected set, so their mean rank is near the detected count; the
 //! score-style estimators rank the whole snapshot.
 //!
-//! A final `equivalence` entry asserts that trait-dispatched RID is
-//! bit-identical to the legacy `Rid::detect` on every MFC trial and
-//! records `bit_identical: 1` for `cargo xtask bench-check`.
+//! A final `equivalence` entry asserts that the RID detector `build`
+//! returns carries the whole `RidConfig` — its answers are bit-identical
+//! to `Rid::from_config(config)` on every MFC trial — and records
+//! `bit_identical: 1` for `cargo xtask bench-check`.
 //!
 //! Writes `BENCH_detectors.json` (gated in CI against the F1 floors in
 //! `bench_baselines.json`).
 
 use isomit_bench::report::{BenchReport, TimingStats};
 use isomit_bench::{build_trials_with_model, mean_std, ExpOptions, Network, Trial};
-use isomit_core::{InitiatorDetector, Rid, RidConfig};
-use isomit_detectors::{build, DetectorKind, SourceDetection};
+use isomit_core::{InitiatorDetector, Rid, RidConfig, SourceDetection};
+use isomit_detectors::{build, DetectorKind};
 use isomit_diffusion::{DiffusionModel, IndependentCascade, LinearThreshold, Mfc};
 use isomit_graph::NodeId;
 use isomit_metrics::evaluate_identities;
@@ -104,9 +105,7 @@ fn main() {
                 let mut latencies_ns = Vec::with_capacity(trials.len());
                 for trial in &trials {
                     let started = Instant::now();
-                    let found = detector
-                        .detect_sources(&trial.scenario.snapshot)
-                        .expect("bakeoff snapshots are valid detector inputs");
+                    let found = detector.detect_ranked(&trial.scenario.snapshot);
                     latencies_ns.push(started.elapsed().as_nanos() as f64);
                     let prf = evaluate_identities(&found.detection.nodes(), &trial.truth_ids);
                     precisions.push(prf.precision);
@@ -116,7 +115,7 @@ fn main() {
                     detected.push(found.detection.len() as f64);
                 }
                 if kind == DetectorKind::Rid && model.name() == "MFC" {
-                    assert_dispatch_equivalence(&config, &trials);
+                    assert_build_carries_config(&config, &trials);
                     mfc_cells += 1;
                 }
                 let (p, _) = mean_std(&precisions);
@@ -154,8 +153,8 @@ fn main() {
         }
     }
     // One summary entry so bench-check's bit-identity gate covers this
-    // artifact: every MFC cell re-ran RID through the trait seam and
-    // asserted byte equality with the legacy path above.
+    // artifact: every MFC cell re-ran RID as `build` makes it and
+    // asserted byte equality with `Rid::from_config` above.
     report.add_metrics(
         "detectors",
         "equivalence",
@@ -168,19 +167,18 @@ fn main() {
     println!("\nwrote {}", path.display());
 }
 
-/// Asserts trait-dispatched RID ≡ legacy `Rid::detect`, bit for bit,
-/// on every trial of an MFC cell.
-fn assert_dispatch_equivalence(config: &RidConfig, trials: &[Trial]) {
-    let legacy = Rid::from_config(*config).expect("default config is valid");
-    let dispatched = build(DetectorKind::Rid, config).expect("default config is valid");
+/// Asserts that `build(DetectorKind::Rid, config)` answers bit for bit
+/// like `Rid::from_config(config)` on every trial of an MFC cell, i.e.
+/// that `build` carries the whole configuration.
+fn assert_build_carries_config(config: &RidConfig, trials: &[Trial]) {
+    let direct = Rid::from_config(*config).expect("default config is valid");
+    let built = build(DetectorKind::Rid, config).expect("default config is valid");
     for trial in trials {
-        let expected = legacy.detect(&trial.scenario.snapshot);
-        let got = dispatched
-            .detect_sources(&trial.scenario.snapshot)
-            .expect("RID accepts bakeoff snapshots");
-        assert_eq!(got.detection, expected, "trait-dispatched RID diverged");
+        let expected = direct.detect(&trial.scenario.snapshot);
+        let got = built.detect(&trial.scenario.snapshot);
+        assert_eq!(got, expected, "built RID diverged from its config");
         assert_eq!(
-            got.detection.objective.to_bits(),
+            got.objective.to_bits(),
             expected.objective.to_bits(),
             "objective bits diverged"
         );

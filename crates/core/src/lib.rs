@@ -26,7 +26,13 @@
 //! Baselines from the paper's evaluation are provided: [`RidTree`]
 //! (forest roots only, the signed generalization of Lappas et al.'s
 //! k-effectors tree method) and [`RidPositive`] (positive links only).
-//! All detectors implement [`InitiatorDetector`].
+//! All detectors implement [`InitiatorDetector`], the one detector
+//! trait of the workspace: its [`detect`](InitiatorDetector::detect)
+//! returns the point estimate and its
+//! [`detect_ranked`](InitiatorDetector::detect_ranked) adds the ranked
+//! candidate list ([`SourceDetection`]). The `isomit-detectors` crate
+//! implements it for two literature estimators (rumor centrality and
+//! the Jordan center) and builds any detector by `DetectorKind`.
 //!
 //! The §III-B likelihood (`P(u, s(u) | I, S)` and `P(G_I | I, S)`) is
 //! implemented in [`likelihood`], and the §III-C NP-hardness apparatus
@@ -67,7 +73,6 @@
 #![deny(missing_debug_implementations)]
 
 mod baselines;
-mod centrality;
 mod codec;
 mod detection;
 mod dp;
@@ -83,9 +88,10 @@ pub mod likelihood;
 pub mod reduction;
 
 pub use baselines::{RidPositive, RidTree};
-pub use centrality::{tree_rumor_centralities, RumorCentrality};
 pub use codec::RidResult;
-pub use detection::{DetectedInitiator, Detection, InitiatorDetector};
+pub use detection::{
+    DetectedInitiator, Detection, InitiatorDetector, RankedSource, SourceDetection,
+};
 pub use dp::{DpOutcome, TreeDp};
 pub use error::RidError;
 pub use forest_extraction::{

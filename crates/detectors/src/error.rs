@@ -1,14 +1,11 @@
-//! Error type shared by every detector.
+//! Error type of detector selection.
 
 use crate::kind::DetectorKind;
-use isomit_core::RidError;
 
-/// Failure modes of a [`crate::SourceDetector`] run or construction.
+/// Failure to resolve a detector by its wire label. (An invalid
+/// configuration is a `RidError` from [`crate::build`].)
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorError {
-    /// The wrapped RID-family estimator rejected its input or
-    /// configuration.
-    Rid(RidError),
     /// A detector was requested by a label no [`DetectorKind`] carries.
     UnknownDetector {
         /// The label that failed to resolve.
@@ -19,7 +16,6 @@ pub enum DetectorError {
 impl std::fmt::Display for DetectorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DetectorError::Rid(e) => write!(f, "{e}"),
             DetectorError::UnknownDetector { name } => write!(
                 f,
                 "unknown detector `{name}` (known: {})",
@@ -29,20 +25,7 @@ impl std::fmt::Display for DetectorError {
     }
 }
 
-impl std::error::Error for DetectorError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DetectorError::Rid(e) => Some(e),
-            DetectorError::UnknownDetector { .. } => None,
-        }
-    }
-}
-
-impl From<RidError> for DetectorError {
-    fn from(e: RidError) -> Self {
-        DetectorError::Rid(e)
-    }
-}
+impl std::error::Error for DetectorError {}
 
 #[cfg(test)]
 mod tests {

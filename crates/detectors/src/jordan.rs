@@ -1,4 +1,4 @@
-//! Jordan (distance) center as a ranked [`SourceDetector`].
+//! Jordan (distance) center as a ranked [`InitiatorDetector`].
 //!
 //! The distance-center estimator family surveyed by Jin & Wu, "Schemes
 //! of Propagation Models and Source Estimators for Rumor Source
@@ -9,12 +9,10 @@
 //! rumor spreading roughly one hop per step leaves its origin near the
 //! hop-distance center of the infected set.
 
-use crate::error::DetectorError;
-use crate::source::{sort_ranked, RankedSource, SourceDetection, SourceDetector};
-use isomit_core::{DetectedInitiator, Detection};
+use crate::rank_per_component;
+use isomit_core::{Detection, InitiatorDetector, SourceDetection};
 use isomit_diffusion::InfectedNetwork;
-use isomit_forest::weakly_connected_components;
-use isomit_graph::NodeId;
+use isomit_graph::{NodeId, SignedDigraph};
 use isomit_telemetry::{names, Histogram};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
@@ -70,75 +68,64 @@ impl JordanCenter {
     }
 }
 
-impl SourceDetector for JordanCenter {
+/// Eccentricity of every node of `component` over the undirected view
+/// of the subgraph it induces, in component order.
+fn eccentricities(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> {
+    let local_of: BTreeMap<NodeId, usize> =
+        component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let adj: Vec<Vec<usize>> = component
+        .iter()
+        .map(|&u| {
+            graph
+                .out_neighbors(u)
+                .iter()
+                .chain(graph.in_neighbors(u))
+                .filter_map(|v| local_of.get(v).copied())
+                .collect()
+        })
+        .collect();
+    (0..component.len())
+        .map(|v| eccentricity(&adj, v))
+        .collect()
+}
+
+impl InitiatorDetector for JordanCenter {
     fn name(&self) -> String {
         "Jordan-Center".to_string()
     }
 
-    fn detect_sources(&self, snapshot: &InfectedNetwork) -> Result<SourceDetection, DetectorError> {
+    fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
+        self.detect_ranked(snapshot).detection
+    }
+
+    fn detect_ranked(&self, snapshot: &InfectedNetwork) -> SourceDetection {
         let _span = jordan_histogram().span();
-        let graph = snapshot.graph();
-        let components = weakly_connected_components(graph);
-        let mut initiators = Vec::with_capacity(components.len());
-        let mut ranked = Vec::with_capacity(graph.node_count());
-        for component in &components {
-            let local_of: BTreeMap<NodeId, usize> =
-                component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let adj: Vec<Vec<usize>> = component
-                .iter()
-                .map(|&u| {
-                    graph
-                        .out_neighbors(u)
-                        .iter()
-                        .chain(graph.in_neighbors(u))
-                        .filter_map(|v| local_of.get(v).copied())
-                        .collect()
-                })
-                .collect();
-            let eccs: Vec<usize> = (0..component.len())
-                .map(|v| eccentricity(&adj, v))
-                .collect();
-            let (best_sub_id, _) = component
-                .iter()
-                .zip(eccs.iter())
-                .min_by_key(|&(&sub_id, &ecc)| (ecc, sub_id))
-                .expect("non-empty component");
-            initiators.push(DetectedInitiator {
-                node: snapshot
-                    .mapping()
-                    .to_original(*best_sub_id)
-                    .expect("snapshot id maps to original network"),
-                state: snapshot.state(*best_sub_id),
-            });
-            for (&sub_id, &ecc) in component.iter().zip(eccs.iter()) {
-                ranked.push(RankedSource {
-                    node: snapshot
-                        .mapping()
-                        .to_original(sub_id)
-                        .expect("snapshot id maps to original network"),
-                    state: snapshot.state(sub_id),
-                    score: -(ecc as f64),
-                });
-            }
-        }
-        sort_ranked(&mut ranked);
-        initiators.sort_by_key(|d| d.node);
-        Ok(SourceDetection {
-            detection: Detection {
-                initiators,
-                component_count: components.len(),
-                tree_count: components.len(),
-                objective: 0.0,
+        rank_per_component(
+            snapshot,
+            |graph, component| {
+                eccentricities(graph, component)
+                    .into_iter()
+                    .map(|ecc| -(ecc as f64))
+                    .collect()
             },
-            ranked,
-        })
+            // Highest score is lowest eccentricity; ties go to the
+            // smallest snapshot id.
+            |component, scores| {
+                let (&source, _) = component
+                    .iter()
+                    .zip(scores)
+                    .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
+                    .expect("non-empty component");
+                source
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isomit_graph::{Edge, NodeState, Sign, SignedDigraph};
+    use isomit_graph::{Edge, NodeState, Sign};
 
     fn snapshot(edges: &[(u32, u32)], n: usize) -> InfectedNetwork {
         let g = SignedDigraph::from_edges(
@@ -154,7 +141,7 @@ mod tests {
     #[test]
     fn path_center_is_the_jordan_center() {
         let s = snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(2)]);
         assert_eq!(found.rank_of(NodeId(2)), Some(1));
         // Center has eccentricity 2, ends 4.
@@ -163,12 +150,8 @@ mod tests {
 
     #[test]
     fn direction_is_ignored() {
-        let a = JordanCenter::new()
-            .detect_sources(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5))
-            .unwrap();
-        let b = JordanCenter::new()
-            .detect_sources(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5))
-            .unwrap();
+        let a = JordanCenter::new().detect_ranked(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5));
+        let b = JordanCenter::new().detect_ranked(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5));
         assert_eq!(a.detection.nodes(), b.detection.nodes());
     }
 
@@ -177,16 +160,18 @@ mod tests {
         // Two 2-cliques: all nodes tie at eccentricity 1 inside each
         // component, so the smallest id of each component wins.
         let s = snapshot(&[(0, 1), (2, 3)], 4);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(found.detection.component_count, 2);
-        assert_eq!(found.ranked.len(), 4);
+        // Equal scores rank by ascending node id.
+        let ranked: Vec<NodeId> = found.ranked.iter().map(|c| c.node).collect();
+        assert_eq!(ranked, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
     fn star_hub_is_the_center() {
         let s = snapshot(&[(0, 1), (0, 2), (0, 3), (0, 4)], 5);
-        let found = JordanCenter::new().detect_sources(&s).unwrap();
+        let found = JordanCenter::new().detect_ranked(&s);
         assert_eq!(found.detection.nodes(), vec![NodeId(0)]);
     }
 
@@ -194,6 +179,7 @@ mod tests {
     fn deterministic_across_runs() {
         let s = snapshot(&[(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], 5);
         let d = JordanCenter::new();
-        assert_eq!(d.detect_sources(&s).unwrap(), d.detect_sources(&s).unwrap());
+        assert_eq!(d.detect_ranked(&s), d.detect_ranked(&s));
+        assert_eq!(d.detect_ranked(&s).detection, d.detect(&s));
     }
 }

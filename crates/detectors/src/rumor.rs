@@ -1,21 +1,17 @@
-//! Rumor centrality as a ranked [`SourceDetector`].
+//! Rumor centrality as a ranked [`InitiatorDetector`].
 //!
 //! Shah & Zaman, "Rumors in a Network: Who's the Culprit?"
-//! (arXiv:0909.4370, IEEE Trans. IT 2011): for a tree rooted at `v`,
-//! `R(v) = n! / Π_u T_u^v` counts the infection orderings `v` could
-//! have initiated; on general graphs the standard heuristic applies the
-//! tree formula to a BFS spanning tree of each infected component. The
-//! log-space message-passing sweep lives in
-//! [`isomit_core::tree_rumor_centralities`]; this detector adds the
-//! full per-node ranking the legacy `RumorCentrality` baseline throws
-//! away, while keeping its point estimate bit-identical to that
-//! baseline (one argmax per component, same tie-breaking).
+//! (arXiv:0909.4370, IEEE Trans. IT 2011) — the classic unsigned
+//! single-source estimator the paper's related work (§V) contrasts RID
+//! against. For a tree rooted at `v`, `R(v) = n! / Π_u T_u^v` counts
+//! the infection orderings `v` could have initiated, where `T_u^v` is
+//! the size of the subtree rooted at `u` when the tree hangs from `v`.
+//! On general graphs the standard heuristic applies the tree formula to
+//! a BFS spanning tree of each infected component.
 
-use crate::error::DetectorError;
-use crate::source::{sort_ranked, RankedSource, SourceDetection, SourceDetector};
-use isomit_core::{tree_rumor_centralities, DetectedInitiator, Detection};
+use crate::rank_per_component;
+use isomit_core::{Detection, InitiatorDetector, SourceDetection};
 use isomit_diffusion::InfectedNetwork;
-use isomit_forest::weakly_connected_components;
 use isomit_graph::{NodeId, SignedDigraph};
 use isomit_telemetry::{names, Histogram};
 use std::collections::{BTreeMap, VecDeque};
@@ -28,12 +24,82 @@ fn rumor_histogram() -> &'static Histogram {
     HIST.get_or_init(|| isomit_telemetry::global().histogram(names::DETECTOR_RUMOR_CENTRALITY_NS))
 }
 
-/// BFS spanning tree (undirected view) of the subgraph induced by
-/// `component`, as parent pointers over component-local indices.
+/// Log-space rumor centralities of every node of a tree, given as a
+/// parent-pointer array over `0..n` whose first `usize::MAX` entry
+/// marks the root.
 ///
-/// Mirrors the legacy baseline's traversal exactly — same start node,
-/// same neighbor order — so the per-node centralities, and therefore
-/// the per-component argmax, agree bit for bit.
+/// Returns `log R(v)` for every `v`, computed in one two-pass
+/// message-passing sweep (log-space, so factorials never overflow);
+/// differences between entries are meaningful, the absolute scale is
+/// `log n!`-shifted.
+///
+/// # Panics
+///
+/// Panics if the parent array is empty or does not describe a tree.
+fn tree_rumor_centralities(parent: &[usize]) -> Vec<f64> {
+    let n = parent.len();
+    let root = parent
+        .iter()
+        .position(|&p| p == usize::MAX)
+        .expect("tree must have a root");
+
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (v, &p) in parent.iter().enumerate() {
+        if v != root {
+            children.get_mut(p).expect("parent out of bounds").push(v);
+        }
+    }
+    let children_of = |v: usize| {
+        children
+            .get(v)
+            .expect("tree nodes are below the parent array length")
+    };
+
+    // Post-order (iterative), so children precede their parent.
+    let mut order = Vec::with_capacity(n);
+    let mut stack = vec![(root, false)];
+    while let Some((v, expanded)) = stack.pop() {
+        if expanded {
+            order.push(v);
+        } else {
+            stack.push((v, true));
+            stack.extend(children_of(v).iter().map(|&c| (c, false)));
+        }
+    }
+    assert_eq!(order.len(), n, "parent pointers do not form one tree");
+    let mut size = vec![1usize; n];
+    for &v in &order {
+        let below: usize = children_of(v)
+            .iter()
+            .map(|&c| size.get(c).expect("tree nodes are below n"))
+            .sum();
+        *size.get_mut(v).expect("tree nodes are below n") += below;
+    }
+    let size_of = |v: usize| *size.get(v).expect("tree nodes are below n");
+
+    // log R(root) = log n! - sum_u log T_u (with T_root = n).
+    let log_fact: f64 = (2..=n).map(|i| (i as f64).ln()).sum();
+    let mut log_r = vec![0.0f64; n];
+    *log_r.get_mut(root).expect("root is below n") =
+        log_fact - size.iter().map(|&s| (s as f64).ln()).sum::<f64>();
+
+    // Rerooting: R(c) = R(parent) * T_c / (n - T_c).
+    let mut queue = VecDeque::from([root]);
+    while let Some(v) = queue.pop_front() {
+        let log_r_v = *log_r.get(v).expect("tree nodes are below n");
+        for &c in children_of(v) {
+            let t_c = size_of(c);
+            *log_r.get_mut(c).expect("tree nodes are below n") =
+                log_r_v + (t_c as f64).ln() - ((n - t_c) as f64).ln();
+            queue.push_back(c);
+        }
+    }
+    log_r
+}
+
+/// BFS spanning tree (undirected view) of the subgraph induced by
+/// `component`, as parent pointers over component-local indices,
+/// rooted at the component's first node.
 fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> {
     let local_of: BTreeMap<NodeId, usize> =
         component.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -69,11 +135,14 @@ fn bfs_spanning_tree(graph: &SignedDigraph, component: &[NodeId]) -> Vec<usize> 
     parent
 }
 
-/// The rumor-centrality estimator with a full per-node ranking: one
-/// point-estimate source per infected weakly-connected component (the
-/// estimator is inherently single-source), every node scored by its
-/// log rumor centrality on a BFS spanning tree.
+/// The rumor-centrality estimator: one point-estimate source per
+/// infected weakly-connected component (the estimator is inherently
+/// single-source; the last node of maximum centrality in component
+/// order on ties), every node ranked by its log rumor centrality on a
+/// BFS spanning tree.
 ///
+/// Signs, states, link directions and weights are ignored — which is
+/// precisely why it struggles on signed multi-initiator snapshots.
 /// Scores are log-space and per-component scaled — comparable within a
 /// component, not across components — but the global rank order is
 /// still deterministic (descending score, ascending node id on ties).
@@ -89,62 +158,83 @@ impl RumorCentralityDetector {
     }
 }
 
-impl SourceDetector for RumorCentralityDetector {
+impl InitiatorDetector for RumorCentralityDetector {
     fn name(&self) -> String {
         "Rumor-Centrality".to_string()
     }
 
-    fn detect_sources(&self, snapshot: &InfectedNetwork) -> Result<SourceDetection, DetectorError> {
+    fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
+        self.detect_ranked(snapshot).detection
+    }
+
+    fn detect_ranked(&self, snapshot: &InfectedNetwork) -> SourceDetection {
         let _span = rumor_histogram().span();
-        let graph = snapshot.graph();
-        let components = weakly_connected_components(graph);
-        let mut initiators = Vec::with_capacity(components.len());
-        let mut ranked = Vec::with_capacity(graph.node_count());
-        for component in &components {
-            let parent = bfs_spanning_tree(graph, component);
-            let log_r = tree_rumor_centralities(&parent);
-            let (best_sub_id, _) = component
-                .iter()
-                .zip(log_r.iter())
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .expect("non-empty component");
-            initiators.push(DetectedInitiator {
-                node: snapshot
-                    .mapping()
-                    .to_original(*best_sub_id)
-                    .expect("snapshot id maps to original network"),
-                state: snapshot.state(*best_sub_id),
-            });
-            for (&sub_id, &score) in component.iter().zip(log_r.iter()) {
-                ranked.push(RankedSource {
-                    node: snapshot
-                        .mapping()
-                        .to_original(sub_id)
-                        .expect("snapshot id maps to original network"),
-                    state: snapshot.state(sub_id),
-                    score,
-                });
-            }
-        }
-        sort_ranked(&mut ranked);
-        initiators.sort_by_key(|d| d.node);
-        Ok(SourceDetection {
-            detection: Detection {
-                initiators,
-                component_count: components.len(),
-                tree_count: components.len(),
-                objective: 0.0,
+        rank_per_component(
+            snapshot,
+            |graph, component| tree_rumor_centralities(&bfs_spanning_tree(graph, component)),
+            |component, log_r| {
+                let (&source, _) = component
+                    .iter()
+                    .zip(log_r)
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .expect("non-empty component");
+                source
             },
-            ranked,
-        })
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isomit_core::{InitiatorDetector, RumorCentrality};
     use isomit_graph::{Edge, NodeState, Sign};
+
+    fn chain_parents(n: usize) -> Vec<usize> {
+        // Path 0 - 1 - ... - n-1 rooted at 0.
+        (0..n)
+            .map(|v| if v == 0 { usize::MAX } else { v - 1 })
+            .collect()
+    }
+
+    #[test]
+    fn path_center_has_max_centrality() {
+        let log_r = tree_rumor_centralities(&chain_parents(5));
+        let best = (0..5)
+            .max_by(|&a, &b| log_r[a].total_cmp(&log_r[b]))
+            .unwrap();
+        assert_eq!(best, 2, "centre of a 5-path");
+        // Symmetry: ends tie, next-to-ends tie.
+        assert!((log_r[0] - log_r[4]).abs() < 1e-9);
+        assert!((log_r[1] - log_r[3]).abs() < 1e-9);
+    }
+
+    #[test]
+    fn star_hub_has_max_centrality() {
+        // Star rooted at the hub 0 with 4 leaves.
+        let log_r = tree_rumor_centralities(&[usize::MAX, 0, 0, 0, 0]);
+        for leaf in 1..5 {
+            assert!(log_r[0] > log_r[leaf], "hub must beat leaf {leaf}");
+        }
+    }
+
+    #[test]
+    fn centrality_counts_orderings_exactly_on_tiny_tree() {
+        // Path of 3: R(center) = 3!/(3·1·1) = 2, R(end) = 3!/(3·2·1) = 1.
+        let log_r = tree_rumor_centralities(&chain_parents(3));
+        assert!((log_r[1] - 2.0f64.ln()).abs() < 1e-12);
+        assert!((log_r[0] - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_node_tree() {
+        assert_eq!(tree_rumor_centralities(&[usize::MAX]), vec![0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree must have a root")]
+    fn cyclic_parents_panic() {
+        tree_rumor_centralities(&[1, 0]);
+    }
 
     fn snapshot(edges: &[(u32, u32)], n: usize) -> InfectedNetwork {
         let g = SignedDigraph::from_edges(
@@ -158,25 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn point_estimate_matches_legacy_baseline() {
-        for edges in [
-            vec![(0, 1), (1, 2), (2, 3), (3, 4)],
-            vec![(0, 1), (0, 2), (0, 3), (2, 3)],
-            vec![(0, 1), (2, 3)],
-            vec![(1, 0), (2, 1), (3, 2), (4, 3)],
-        ] {
-            let n = 5;
-            let s = snapshot(&edges, n);
-            let legacy = RumorCentrality::new().detect(&s);
-            let ranked = RumorCentralityDetector::new().detect_sources(&s).unwrap();
-            assert_eq!(ranked.detection, legacy, "edges {edges:?}");
-        }
-    }
-
-    #[test]
     fn path_center_ranks_first_and_all_nodes_are_ranked() {
         let s = snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let found = RumorCentralityDetector::new().detect_sources(&s).unwrap();
+        let found = RumorCentralityDetector::new().detect_ranked(&s);
+        assert_eq!(found.detection.nodes(), vec![NodeId(2)]);
         assert_eq!(found.rank_of(NodeId(2)), Some(1));
         assert_eq!(found.ranked.len(), 5);
         // Symmetric path: ends score lowest.
@@ -185,11 +260,30 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
+    fn one_source_per_component_ties_going_to_the_last_node() {
+        // Two 2-node components: both nodes of each tie at R = 1, and
+        // the point estimate keeps the last maximum in component order.
+        let d = RumorCentralityDetector::new().detect(&snapshot(&[(0, 1), (2, 3)], 4));
+        assert_eq!(d.nodes(), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(d.component_count, 2);
+        assert_eq!(d.tree_count, 2);
+    }
+
+    #[test]
+    fn direction_is_ignored() {
+        // Same undirected path regardless of edge orientations.
+        let d = RumorCentralityDetector::new();
+        let a = d.detect(&snapshot(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5));
+        let b = d.detect(&snapshot(&[(1, 0), (2, 1), (3, 2), (4, 3)], 5));
+        assert_eq!(a.nodes(), b.nodes());
+    }
+
+    #[test]
+    fn detect_is_the_point_estimate_of_detect_ranked() {
         let s = snapshot(&[(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], 5);
         let d = RumorCentralityDetector::new();
-        let a = d.detect_sources(&s).unwrap();
-        let b = d.detect_sources(&s).unwrap();
-        assert_eq!(a, b);
+        let ranked = d.detect_ranked(&s);
+        assert_eq!(ranked, d.detect_ranked(&s));
+        assert_eq!(ranked.detection, d.detect(&s));
     }
 }

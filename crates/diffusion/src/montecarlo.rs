@@ -142,13 +142,22 @@ impl InfectionEstimate {
     }
 }
 
-/// Checks the shared preconditions of the estimators.
-fn check_runs(runs: usize) -> Result<(), DiffusionError> {
+/// Checks the run count of every Monte-Carlo estimator, scalar and
+/// wide: it must be positive, and at most `u32::MAX` so the `u32`
+/// per-node tallies cannot wrap.
+pub(crate) fn check_runs(runs: usize) -> Result<(), DiffusionError> {
     if runs == 0 {
         return Err(DiffusionError::InvalidParameter {
             name: "runs",
             value: 0.0,
             constraint: "must be positive",
+        });
+    }
+    if u32::try_from(runs).is_err() {
+        return Err(DiffusionError::InvalidParameter {
+            name: "runs",
+            value: runs as f64,
+            constraint: "must be at most u32::MAX",
         });
     }
     Ok(())
@@ -159,8 +168,9 @@ fn check_runs(runs: usize) -> Result<(), DiffusionError> {
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or any error of the underlying
+/// [`DiffusionModel::simulate`] calls.
 pub fn estimate_infection_probabilities<M>(
     model: &M,
     graph: &SignedDigraph,
@@ -247,8 +257,9 @@ fn run_rng(master_seed: u64, run_index: usize) -> StdRng {
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or any error of the underlying
+/// [`DiffusionModel::simulate`] calls.
 pub fn estimate_infection_probabilities_seeded<M>(
     model: &M,
     graph: &SignedDigraph,
@@ -285,8 +296,9 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or any
-/// error of the underlying [`DiffusionModel::simulate`] calls. Errors
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or any error of the underlying
+/// [`DiffusionModel::simulate`] calls. Errors
 /// short-circuit the surviving work but cannot perturb successful
 /// results: a simulation either fails for every run (seed validation is
 /// input-determined) or for none.
@@ -327,6 +339,44 @@ mod tests {
     use isomit_graph::{Edge, Sign};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn run_counts_beyond_the_u32_tallies_are_refused_up_front() {
+        let g =
+            SignedDigraph::from_edges(2, [Edge::new(NodeId(0), NodeId(1), Sign::Positive, 0.5)])
+                .unwrap();
+        let seeds = SeedSet::single(NodeId(0), Sign::Positive);
+        let mfc = Mfc::new(3.0).unwrap();
+        let too_many = u32::MAX as usize + 1;
+        let refused = |r: Result<InfectionEstimate, DiffusionError>| {
+            matches!(
+                r,
+                Err(DiffusionError::InvalidParameter { name: "runs", .. })
+            )
+        };
+        // Each call would run for hours if the check came after the
+        // simulations instead of before them.
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(refused(estimate_infection_probabilities(
+            &mfc, &g, &seeds, too_many, &mut rng
+        )));
+        assert!(refused(estimate_infection_probabilities_seeded(
+            &mfc, &g, &seeds, too_many, 0
+        )));
+        assert!(refused(par_estimate_infection_probabilities(
+            &mfc, &g, &seeds, too_many, 0
+        )));
+        assert!(refused(crate::estimate_infection_probabilities_wide(
+            &mfc, &g, &seeds, too_many, 0
+        )));
+        assert!(refused(crate::par_estimate_infection_probabilities_wide(
+            &mfc, &g, &seeds, too_many, 0
+        )));
+        assert!(refused(
+            crate::estimate_infection_probabilities_wide_reference(&mfc, &g, &seeds, too_many, 0)
+        ));
+        assert!(check_runs(u32::MAX as usize).is_ok());
+    }
 
     #[test]
     fn tree_ic_probabilities_match_path_products() {

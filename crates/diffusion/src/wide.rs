@@ -59,7 +59,7 @@
 //! numbers whether it runs as lane 6 of batch 1 or alone in a width-1
 //! batch.
 
-use crate::montecarlo::RUN_STREAM;
+use crate::montecarlo::{check_runs, RUN_STREAM};
 use crate::{DiffusionError, InfectedNetwork, InfectionEstimate, Mfc, SeedSet};
 use isomit_graph::{NodeId, NodeState, SignedDigraph};
 use isomit_telemetry::{names, Counter, Histogram};
@@ -513,18 +513,6 @@ pub fn simulate_wide_reference(
     Ok((state, truncated))
 }
 
-/// Shared argument check of the wide estimators.
-fn check_wide_runs(runs: usize) -> Result<(), DiffusionError> {
-    if runs == 0 {
-        return Err(DiffusionError::InvalidParameter {
-            name: "runs",
-            value: 0.0,
-            constraint: "must be positive",
-        });
-    }
-    Ok(())
-}
-
 /// The lane keys of one batch: trials `first..first + count` of
 /// `master_seed`.
 fn batch_keys(master_seed: u64, first: usize, count: usize) -> Vec<u64> {
@@ -543,8 +531,9 @@ fn batch_keys(master_seed: u64, first: usize, count: usize) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or [`DiffusionError::SeedOutOfBounds`] for seeds
+/// outside the graph.
 pub fn estimate_infection_probabilities_wide(
     model: &Mfc,
     graph: &SignedDigraph,
@@ -552,7 +541,7 @@ pub fn estimate_infection_probabilities_wide(
     runs: usize,
     master_seed: u64,
 ) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
+    check_runs(runs)?;
     let sim = WideSimulator::new(model, graph);
     let n = graph.node_count();
     let mut infected = vec![0u32; n];
@@ -575,8 +564,9 @@ pub fn estimate_infection_probabilities_wide(
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or [`DiffusionError::SeedOutOfBounds`] for seeds
+/// outside the graph.
 pub fn par_estimate_infection_probabilities_wide(
     model: &Mfc,
     graph: &SignedDigraph,
@@ -584,7 +574,7 @@ pub fn par_estimate_infection_probabilities_wide(
     runs: usize,
     master_seed: u64,
 ) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
+    check_runs(runs)?;
     let sim = WideSimulator::new(model, graph);
     let n = graph.node_count();
     let batches = runs.div_ceil(MAX_LANES);
@@ -620,8 +610,9 @@ pub fn par_estimate_infection_probabilities_wide(
 ///
 /// # Errors
 ///
-/// Returns [`DiffusionError::InvalidParameter`] if `runs == 0`, or
-/// [`DiffusionError::SeedOutOfBounds`] for seeds outside the graph.
+/// Returns [`DiffusionError::InvalidParameter`] if `runs` is 0 or
+/// above `u32::MAX`, or [`DiffusionError::SeedOutOfBounds`] for seeds
+/// outside the graph.
 pub fn estimate_infection_probabilities_wide_reference(
     model: &Mfc,
     graph: &SignedDigraph,
@@ -629,7 +620,7 @@ pub fn estimate_infection_probabilities_wide_reference(
     runs: usize,
     master_seed: u64,
 ) -> Result<InfectionEstimate, DiffusionError> {
-    check_wide_runs(runs)?;
+    check_runs(runs)?;
     let n = graph.node_count();
     let mut infected = vec![0u32; n];
     let mut positive = vec![0u32; n];

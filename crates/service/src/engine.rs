@@ -12,7 +12,7 @@
 use crate::cache::{CacheMetrics, LruCache};
 use crate::fingerprint::snapshot_fingerprint;
 use isomit_core::{ForestArtifacts, Rid, RidConfig, RidError, RidResult};
-use isomit_detectors::{DetectorError, DetectorKind};
+use isomit_detectors::DetectorKind;
 use isomit_diffusion::{
     par_estimate_infection_probabilities_wide, DiffusionError, InfectedNetwork, InfectionEstimate,
     Mfc, SeedSet,
@@ -21,19 +21,6 @@ use isomit_graph::json::{JsonError, Value};
 use isomit_graph::SignedDigraph;
 use isomit_telemetry::{names, Counter, Registry, RegistrySnapshot};
 use std::sync::{Arc, Mutex};
-
-/// Maps a detector failure back to the engine's [`RidError`] surface.
-/// Unknown-detector errors cannot reach the engine: the protocol layer
-/// validates labels before work is enqueued, and typed callers pass a
-/// [`DetectorKind`] that always builds.
-fn detector_error_to_rid(e: DetectorError) -> RidError {
-    match e {
-        DetectorError::Rid(e) => e,
-        DetectorError::UnknownDetector { name } => {
-            unreachable!("detector label `{name}` was validated at the protocol layer")
-        }
-    }
-}
 
 /// Point-in-time engine counters, reported by the `stats` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,9 +284,8 @@ impl RidEngine {
         Ok(RidResult { config, detection })
     }
 
-    /// Answers a `rid` query through the
-    /// [`SourceDetector`](isomit_detectors::SourceDetector) seam:
-    /// dispatches on `detector`, defaulting to the full RID framework.
+    /// Answers a `rid` query with the detector `isomit_detectors::build`
+    /// makes for `detector`, defaulting to the full RID framework.
     ///
     /// `DetectorKind::Rid` takes the exact cached-artifact path of
     /// [`rid`](RidEngine::rid) — bit-identical results, same cache
@@ -323,14 +309,8 @@ impl RidEngine {
         }
         self.rid_requests.inc();
         let config = config.unwrap_or(self.default_config);
-        let built = isomit_detectors::build(kind, &config).map_err(detector_error_to_rid)?;
-        let found = built
-            .detect_sources(snapshot)
-            .map_err(detector_error_to_rid)?;
-        Ok(RidResult {
-            config,
-            detection: found.detection,
-        })
+        let detection = isomit_detectors::build(kind, &config)?.detect(snapshot);
+        Ok(RidResult { config, detection })
     }
 
     /// Answers a `simulate` query: seeded parallel Monte-Carlo
@@ -341,8 +321,8 @@ impl RidEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`DiffusionError`] for out-of-bounds or duplicate seeds
-    /// or `runs == 0`.
+    /// Returns [`DiffusionError`] for out-of-bounds or duplicate seeds,
+    /// or for `runs` of 0 or above `u32::MAX`.
     pub fn simulate(
         &self,
         seeds: &SeedSet,
@@ -597,7 +577,13 @@ mod tests {
         assert_eq!(a, b);
         let out_of_bounds = SeedSet::single(NodeId(1_000_000), Sign::Positive);
         assert!(engine.simulate(&out_of_bounds, 8, 9).is_err());
-        assert_eq!(engine.stats().simulate_requests, 3);
+        // A run count the u32 tallies cannot hold is refused before any
+        // simulation runs.
+        assert!(matches!(
+            engine.simulate(&seeds, u32::MAX as usize + 1, 9),
+            Err(DiffusionError::InvalidParameter { name: "runs", .. })
+        ));
+        assert_eq!(engine.stats().simulate_requests, 4);
     }
 
     #[test]

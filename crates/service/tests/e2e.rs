@@ -5,7 +5,7 @@
 use isomit_core::{IncrementalRid, InitiatorDetector, Rid, RidConfig, RidDelta, RidTree};
 use isomit_diffusion::{par_estimate_infection_probabilities_wide, InfectedNetwork, Mfc, SeedSet};
 use isomit_graph::{NodeId, NodeState, Sign, SignedDigraph};
-use isomit_service::protocol::{encode_request, ErrorKind, RequestBody};
+use isomit_service::protocol::{encode_request, parse_response, ErrorKind, RequestBody};
 use isomit_service::{Client, ClientError, DetectorKind, WatchReply};
 use isomit_telemetry::names;
 use rand::rngs::StdRng;
@@ -770,21 +770,37 @@ fn stats_expose_watch_telemetry() {
 fn queued_work_past_its_deadline_is_rejected() {
     let daemon = Daemon::spawn(&["--workers", "1", "--queue", "4", "--timeout-ms", "1"]);
 
-    // Occupy the single worker long enough that anything queued behind
-    // it is guaranteed to exceed the 1ms deadline by dequeue time.
-    let long_job =
-        "{\"id\":1,\"type\":\"simulate\",\"seeds\":[[0,1],[5,-1]],\"runs\":500,\"seed\":1}";
-    let mut busy = daemon.raw();
-    busy.write_all(long_job.as_bytes()).expect("write long job");
-    busy.write_all(b"\n").expect("newline");
-    wait_for_stats(&daemon, |stats| {
-        stats.get("simulate_requests").and_then(|v| v.as_u64()) == Some(1)
-    });
-
-    let snap = snapshot(1);
-    let mut client = daemon.client();
-    match client.rid(&snap, None) {
-        Err(ClientError::Remote(err)) => {
+    // The blocker and the rid go out in one write on one connection, so
+    // the rid is framed and enqueued while the blocker holds the single
+    // worker. 2000 runs keep that worker busy for about a second in a
+    // debug build and half a second in a release build, far past the
+    // 1 ms deadline.
+    let blocker =
+        "{\"id\":1,\"type\":\"simulate\",\"seeds\":[[0,1],[5,-1]],\"runs\":2000,\"seed\":1}";
+    let rid = encode_request(
+        2,
+        &RequestBody::Rid {
+            snapshot: Box::new(snapshot(1)),
+            config: None,
+            detector: None,
+        },
+    );
+    let mut conn = daemon.raw();
+    conn.write_all(format!("{blocker}\n{rid}\n").as_bytes())
+        .expect("write blocker and rid");
+    let mut replies = BufReader::new(conn).lines();
+    let rid_reply = loop {
+        let line = replies
+            .next()
+            .expect("daemon closed the connection")
+            .expect("read reply");
+        let reply = parse_response(&line).expect("reply envelope");
+        if reply.id == Some(2) {
+            break reply.outcome;
+        }
+    };
+    match rid_reply {
+        Err(err) => {
             assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "{err}");
         }
         other => panic!("expected deadline_exceeded, got {other:?}"),
@@ -792,7 +808,7 @@ fn queued_work_past_its_deadline_is_rejected() {
 
     // The rejection is visible in telemetry, and the expired job's
     // queue wait was still recorded.
-    let telemetry = client.telemetry().expect("telemetry");
+    let telemetry = daemon.client().telemetry().expect("telemetry");
     assert!(
         telemetry
             .counter(names::SERVICE_DEADLINE_EXCEEDED)

@@ -52,7 +52,7 @@ pub use isomit_metrics as metrics;
 pub mod prelude {
     pub use isomit_core::{
         extract_cascade_forest, solve_k_isomit, Detection, InitiatorDetector, Rid, RidObjective,
-        RidPositive, RidTree, RumorCentrality, TreeDp,
+        RidPositive, RidTree, TreeDp,
     };
     pub use isomit_datasets::{
         build_scenario, epinions_like, epinions_like_scaled, paper_weights, slashdot_like,

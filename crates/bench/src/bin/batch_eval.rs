@@ -502,6 +502,9 @@ fn run_pipeline(
         let speedup = ref_total / opt_total;
         comparison.push(("allocs_per_run_reference".into(), ref_allocs as f64 / runs));
         comparison.push(("speedup".into(), speedup));
+        // Every snapshot's optimized forest was asserted equal to the
+        // reference above.
+        comparison.push(("bit_identical".into(), 1.0));
         println!(
             "forest extraction: optimized {:.1} ms vs reference {:.1} ms total — \
              {speedup:.2}x speedup, {:.0} vs {:.0} allocs/run",

@@ -1,8 +1,8 @@
 use crate::detection::{DetectedInitiator, Detection, InitiatorDetector};
 use crate::error::RidError;
-use crate::forest_extraction::extract_cascade_forest;
+use crate::forest_extraction::{extract_cascade_forest, pooled_branching};
 use isomit_diffusion::InfectedNetwork;
-use isomit_forest::{maximum_branching, weakly_connected_components, WeightedArc};
+use isomit_forest::{weakly_connected_components, WeightedArc};
 use isomit_graph::Sign;
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +107,7 @@ impl InitiatorDetector for RidPositive {
 
     fn detect(&self, snapshot: &InfectedNetwork) -> Detection {
         let graph = snapshot.graph();
-        let component_count = weakly_connected_components(graph).len();
+        let components = weakly_connected_components(graph);
         // Unsigned method: keep positive arcs with their raw weights,
         // ignoring node states entirely.
         let arcs: Vec<WeightedArc> = graph
@@ -119,7 +119,9 @@ impl InitiatorDetector for RidPositive {
                 weight: e.weight,
             })
             .collect();
-        let branching = maximum_branching(graph.node_count(), &arcs);
+        // A positive arc joins two nodes of one weak component, so the
+        // component-wise run selects what a single global run would.
+        let branching = pooled_branching(graph.node_count(), &arcs, &components);
         let initiators = branching
             .roots()
             .into_iter()
@@ -136,7 +138,7 @@ impl InitiatorDetector for RidPositive {
             .collect();
         let mut detection = Detection {
             initiators,
-            component_count,
+            component_count: components.len(),
             tree_count: branching.roots().len(),
             objective: 0.0,
         };

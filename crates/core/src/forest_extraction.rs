@@ -20,6 +20,10 @@ thread_local! {
     /// serving engine, batch evaluation) reuse the same buffers instead
     /// of re-allocating per component and per snapshot.
     static BRANCHING_ARENA: RefCell<BranchingArena> = RefCell::new(BranchingArena::default());
+
+    /// Per-thread dense snapshot-id -> local-id index of
+    /// [`external_support`], sized to the largest snapshot seen.
+    static SUPPORT_INDEX: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Number of times [`extract_cascade_forest`] has run **on the calling
@@ -365,10 +369,21 @@ pub fn extract_cascade_forest(snapshot: &InfectedNetwork, alpha: f64) -> (Vec<Ca
     let component_count = components.len();
     let n = snapshot.node_count();
     let arcs = usable_arcs(snapshot, alpha);
-    let branching = BRANCHING_ARENA
-        .with(|arena| maximum_branching_components(n, &arcs, &components, &mut arena.borrow_mut()));
+    let branching = pooled_branching(n, &arcs, &components);
     let trees = materialize_forest(snapshot, &branching);
     (trees, component_count)
+}
+
+/// [`maximum_branching_components`] against this thread's pooled
+/// [`BranchingArena`]; `components` must partition `0..n` with no arc
+/// crossing two of them.
+pub(crate) fn pooled_branching(
+    n: usize,
+    arcs: &[WeightedArc],
+    components: &[Vec<NodeId>],
+) -> Branching {
+    BRANCHING_ARENA
+        .with(|arena| maximum_branching_components(n, arcs, components, &mut arena.borrow_mut()))
 }
 
 /// Single-run baseline of [`extract_cascade_forest`]: one global
@@ -538,8 +553,7 @@ pub fn external_support(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f
             parent_snapshot[c] = Some(tree.snapshot_id(local));
         }
     }
-    // Euler intervals for O(1) is-descendant tests, plus a snapshot-id →
-    // local-id map restricted to this tree.
+    // Euler intervals for O(1) is-descendant tests.
     let mut tin = vec![0u32; n];
     let mut tout = vec![0u32; n];
     let mut clock = 0u32;
@@ -556,13 +570,24 @@ pub fn external_support(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f
             }
         }
     }
-    let mut local_of: std::collections::BTreeMap<NodeId, usize> = std::collections::BTreeMap::new();
-    for local in 0..n {
-        local_of.insert(tree.snapshot_id(local), local);
+    // Snapshot id -> local id in a dense per-thread array. Entries left
+    // by earlier trees are never cleared: a hit counts only if this
+    // tree's node at that local id is the queried snapshot id, so the
+    // index costs O(tree size) per call.
+    let mut local_of = SUPPORT_INDEX.take();
+    if local_of.len() < snapshot.node_count() {
+        local_of.resize(snapshot.node_count(), 0);
     }
+    for local in 0..n {
+        local_of[tree.snapshot_id(local).index()] = local;
+    }
+    let local_in_tree = |id: NodeId| {
+        let local = local_of[id.index()];
+        (local < n && tree.snapshot_id(local) == id).then_some(local)
+    };
     let is_descendant = |anc: usize, node: usize| tin[anc] <= tin[node] && tout[node] <= tout[anc];
 
-    (0..n)
+    let support = (0..n)
         .map(|local| {
             let v = tree.snapshot_id(local);
             let mut miss = 1.0;
@@ -570,10 +595,8 @@ pub fn external_support(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f
                 if Some(e.src) == parent_snapshot[local] {
                     continue;
                 }
-                if let Some(&src_local) = local_of.get(&e.src) {
-                    if is_descendant(local, src_local) {
-                        continue;
-                    }
+                if local_in_tree(e.src).is_some_and(|src_local| is_descendant(local, src_local)) {
+                    continue;
                 }
                 // Strict factor: an inconsistent in-edge is not a
                 // plausible *alternative* activator on its own (the flip
@@ -589,7 +612,9 @@ pub fn external_support(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f
             }
             1.0 - miss
         })
-        .collect()
+        .collect();
+    SUPPORT_INDEX.set(local_of);
+    support
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! instances, and the pipeline's structural invariants are checked on
 //! arbitrary snapshots.
 
-use isomit_core::likelihood::{g_factor_discounted, FLIP_DISCOUNT};
+use isomit_core::likelihood::{g_factor, g_factor_discounted, FLIP_DISCOUNT};
 use isomit_core::{
-    extract_cascade_forest, CascadeTree, InitiatorDetector, Rid, RidObjective, TreeDp,
+    external_support, extract_cascade_forest, CascadeTree, InitiatorDetector, Rid, RidObjective,
+    TreeDp,
 };
 use isomit_diffusion::InfectedNetwork;
 use isomit_graph::{Edge, NodeId, NodeState, Sign, SignedDigraph};
@@ -129,6 +130,53 @@ fn brute_force_budgeted(tree: &CascadeTree, alpha: f64, k: usize) -> f64 {
     best
 }
 
+/// External support from its definition: the noisy-or over `v`'s
+/// in-edges, in the snapshot's in-edge order, skipping the tree parent
+/// and every tree descendant (found by walking parent pointers up from
+/// the edge's source).
+fn support_oracle(snapshot: &InfectedNetwork, tree: &CascadeTree, alpha: f64) -> Vec<f64> {
+    let n = tree.len();
+    let mut parent = vec![None; n];
+    for x in 0..n {
+        for &c in tree.children(x) {
+            parent[c] = Some(x);
+        }
+    }
+    let descends_from = |mut node: usize, anc: usize| loop {
+        if node == anc {
+            return true;
+        }
+        match parent[node] {
+            Some(p) => node = p,
+            None => return false,
+        }
+    };
+    (0..n)
+        .map(|local| {
+            let v = tree.snapshot_id(local);
+            let mut miss = 1.0;
+            for e in snapshot.graph().in_edges(v) {
+                if parent[local].map(|p| tree.snapshot_id(p)) == Some(e.src) {
+                    continue;
+                }
+                let src_local = (0..n).find(|&l| tree.snapshot_id(l) == e.src);
+                if src_local.is_some_and(|s| descends_from(s, local)) {
+                    continue;
+                }
+                let g = g_factor(
+                    alpha,
+                    snapshot.state(e.src),
+                    e.sign,
+                    snapshot.state(e.dst),
+                    e.weight,
+                );
+                miss *= 1.0 - g;
+            }
+            1.0 - miss
+        })
+        .collect()
+}
+
 fn small_trees(snapshot: &InfectedNetwork, alpha: f64) -> Vec<CascadeTree> {
     let (trees, _) = extract_cascade_forest(snapshot, alpha);
     trees.into_iter().filter(|t| t.len() <= 12).collect()
@@ -235,6 +283,27 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "forest must cover every node");
+    }
+
+    #[test]
+    fn external_support_matches_its_definition_bit_for_bit(snapshot in arb_snapshot(24)) {
+        // Cases of different sizes run one after another on this thread,
+        // so the pooled index also holds stale entries of earlier
+        // snapshots and trees.
+        for alpha in [1.0, 3.0] {
+            let (trees, _) = extract_cascade_forest(&snapshot, alpha);
+            for tree in &trees {
+                let fast: Vec<u64> = external_support(&snapshot, tree, alpha)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                let oracle: Vec<u64> = support_oracle(&snapshot, tree, alpha)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                prop_assert_eq!(fast, oracle);
+            }
+        }
     }
 
     #[test]

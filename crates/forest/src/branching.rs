@@ -181,16 +181,16 @@ impl Branching {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkEdge {
-    pub(crate) src: usize,
-    pub(crate) dst: usize,
-    pub(crate) weight: f64,
+struct WorkEdge {
+    src: usize,
+    dst: usize,
+    weight: f64,
     /// Index of the edge this one descends from, one level down
     /// (at level 0: the input arc index, or `usize::MAX` for virtual-root
     /// edges).
-    pub(crate) parent_edge: usize,
+    parent_edge: usize,
     /// `true` if the edge descends from a virtual-root edge.
-    pub(crate) root_edge: bool,
+    root_edge: bool,
 }
 
 #[derive(Debug)]
@@ -203,7 +203,7 @@ struct LevelRecord {
     cycles: Vec<Vec<usize>>,
 }
 
-pub(crate) const ROOT_ARC: usize = usize::MAX;
+const ROOT_ARC: usize = usize::MAX;
 
 /// Computes a **maximum-weight spanning branching** of the directed graph
 /// `(0..n, arcs)` with the Chu-Liu/Edmonds algorithm.
@@ -220,8 +220,12 @@ pub(crate) const ROOT_ARC: usize = usize::MAX;
 /// wins. Nodes with no incoming arcs (and nodes whose best alternative is
 /// to start a new tree) become roots.
 ///
-/// Runs in `O(m · c)` where `c ≤ n` is the number of contraction rounds
-/// (small in practice).
+/// Every contraction level re-scans and copies the whole edge list, so
+/// the run costs `O((m + n) · c)`, where `c ≤ n` is the number of
+/// contraction levels. This single run is the reference that
+/// [`maximum_branching_components`](crate::maximum_branching_components)
+/// reproduces bit for bit while touching only the in-edges of cycle
+/// members after the first level.
 ///
 /// # Panics
 ///

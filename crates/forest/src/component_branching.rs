@@ -1,66 +1,107 @@
-// lint:allow-file(indexing) arena-based Chu-Liu/Edmonds indexes per-node scratch arrays sized from the component's node count; Branching::validate() re-checks the parent structure in debug builds
+// lint:allow-file(indexing) arena-based Chu-Liu/Edmonds indexes per-node and per-edge scratch arrays sized from the component's node and arc counts; Branching::validate() re-checks the parent structure in debug builds
 //! Component-wise maximum-branching driver with reusable scratch arenas.
 //!
 //! [`maximum_branching`](crate::maximum_branching) solves the whole node
-//! range in one Chu-Liu/Edmonds run. When the input decomposes into many
-//! weakly-connected components — the normal shape of an infected snapshot,
-//! where each component is one rumor cascade (paper §III-C) — that single
-//! run wastes work: every contraction level re-allocates `best_in`,
-//! `cycle_of` and edge vectors sized for *all* nodes, and singleton
-//! components flow through the full machinery just to become roots.
+//! range in one level-by-level Chu-Liu/Edmonds run: every contraction
+//! level re-scans and copies the whole edge list. When the input
+//! decomposes into weakly-connected components — the normal shape of an
+//! infected snapshot, where each component is one rumor cascade (paper
+//! §III-C) — and a component needs many levels, most of that work
+//! re-reads edges no cycle ever touches.
 //!
 //! [`maximum_branching_components`] produces the **bit-identical**
-//! branching by solving each component independently against a
-//! [`BranchingArena`] of pooled buffers:
+//! branching component by component against a [`BranchingArena`] of
+//! pooled buffers, contracting incrementally in the manner of Tarjan
+//! ("Finding optimum branchings", Networks 1977) while keeping the
+//! reference's level-by-level decisions:
 //!
 //! * arcs are grouped per component with a counting sort that preserves
-//!   input order, so each sub-run sees its arcs in the same relative order
-//!   as the global run — the deterministic tie-break ("heavier wins; at
-//!   equal weight a real arc beats the virtual root, earliest input arc
-//!   wins") therefore selects exactly the same arcs;
-//! * best-in-edge selection keeps dense per-destination incumbent
-//!   weight/flag arrays, replacing the reference's dependent
-//!   `edges[best_in[dst]]` re-read with a branch-cheap single pass;
-//! * singleton and arc-free components exit early as roots;
-//! * `total_weight` is re-accumulated in one global ascending-node pass,
-//!   reproducing the reference implementation's floating-point summation
-//!   order bit for bit.
+//!   input order, and each component lists its arcs followed by one
+//!   virtual-root edge per node — the reference's level-0 layout, so a
+//!   local edge id is the edge's position in the reference's list;
+//! * every level's edge list is a subsequence of level 0, so the
+//!   reference's "first maximum-weight in-edge in level order" is
+//!   "largest weight, then smallest local id";
+//! * a node outside every cycle keeps its best in-edge at the next level
+//!   (its in-edges and their weights are unchanged), and any new cycle
+//!   passes through a super-node formed by the previous contraction, so
+//!   each level walks parent pointers only from the new super-nodes.
+//!   A node whose parent chain reaches the virtual root is marked once
+//!   and never walked again, because that chain cannot change;
+//! * contracting a cycle joins its members' in-edge lists in one pooled
+//!   flat buffer, dropping the edges internal to the cycle and
+//!   reweighting the others with the reference's `w − w(best_in)`
+//!   subtraction, in the same order, so every weight has the same bits;
+//! * expansion walks the contraction forest top-down: a super-node hands
+//!   its chosen edge down to the member that edge enters, and every other
+//!   member keeps its in-cycle edge;
+//! * singleton and arc-free components exit early as roots, and
+//!   `total_weight` is re-accumulated in one global ascending-node pass,
+//!   reproducing the reference's floating-point summation order.
 //!
-//! The determinism suite and the golden fixtures pin this equivalence
-//! end-to-end; the unit tests below pin it structurally (equal
-//! `parent`/`parent_arc`, bit-equal `total_weight`).
+//! A component with `n` nodes and `m` arcs costs `O(m + n)` for its first
+//! level; each later level costs the in-edges of its cycle members plus
+//! the parent-pointer walks from its new super-nodes, instead of the
+//! reference's `O(m + n)` per level.
+//!
+//! The unit tests below and the crate's property tests pin the
+//! equivalence structurally (equal `parent`/`parent_arc`, bit-equal
+//! `total_weight`); the determinism suite and the golden fixtures pin it
+//! end to end.
 
-use crate::branching::{Branching, WeightedArc, WorkEdge, ROOT_ARC};
+use crate::branching::{Branching, WeightedArc};
 use isomit_graph::NodeId;
 
-/// Sentinel for "no edge / no cycle / unassigned" in the arena's dense
-/// index vectors (the arena stores plain `usize` instead of
-/// `Option<usize>` to keep the scratch vectors `memset`-cheap).
+/// Sentinel for "no edge / no node" in the arena's dense index fields
+/// (plain `usize` instead of `Option<usize>` keeps the slots small).
 const NONE: usize = usize::MAX;
 
-/// One contraction level of a component-local Edmonds run.
-///
-/// Mirrors the reference implementation's level records, but with
-/// `usize::MAX` sentinels instead of `Option` and with every vector pooled
-/// inside [`BranchingArena`] so repeated runs allocate nothing.
-#[derive(Debug, Default)]
-struct Level {
-    node_count: usize,
-    edges: Vec<WorkEdge>,
-    /// Chosen in-edge per node (index into `edges`), `NONE` for the root.
-    best_in: Vec<usize>,
-    /// Cycle membership per node, `NONE` outside every cycle.
-    cycle_of: Vec<usize>,
+/// One node of a component's contraction forest: an input node, the
+/// virtual root, or a super-node standing for a contracted cycle.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Selected in-edge (local edge id); `NONE` only for the virtual root.
+    best_in: usize,
+    /// Union-find link towards the uncontracted node that contains this
+    /// one (itself while the node is uncontracted).
+    rep: usize,
+    /// Super-node this node was contracted into, `NONE` while it is not.
+    up: usize,
+    /// In-edge list: `in_edges[start..end]` of the arena.
+    start: usize,
+    end: usize,
+    /// Last parent-pointer walk that visited this node.
+    walk: usize,
+    /// `true` once the node's parent chain is known to reach the virtual
+    /// root.
+    rooted: bool,
+    /// Expansion: the local edge this node finally keeps.
+    chosen: usize,
+}
+
+impl Slot {
+    fn new(id: usize, start: usize) -> Slot {
+        Slot {
+            best_in: NONE,
+            rep: id,
+            up: NONE,
+            start,
+            end: start,
+            walk: 0,
+            rooted: false,
+            chosen: NONE,
+        }
+    }
 }
 
 /// Reusable scratch space for [`maximum_branching_components`].
 ///
 /// Holds every buffer the component-wise Chu-Liu/Edmonds driver needs —
-/// per-component edge lists, contraction level records, cycle-detection
-/// state and expansion scratch — so that running the branching over many
-/// components (or many snapshots) performs no per-component allocation
-/// after warm-up. Construct once with [`Default`] and pass `&mut` to each
-/// call; buffers grow to the high-water mark and are then reused.
+/// per-component edge lists, the contraction forest, pooled in-edge lists
+/// and walk state — so that running the branching over many components
+/// (or many snapshots) performs no per-component allocation after
+/// warm-up. Construct once with [`Default`] and pass `&mut` to each call;
+/// buffers grow to the high-water mark and are then reused.
 ///
 /// An arena is cheap to create, so per-thread ownership (e.g. a
 /// `thread_local!`) is the intended sharing model; the type is
@@ -103,41 +144,28 @@ pub struct BranchingArena {
     comp_arc_ids: Vec<usize>,
     /// Per-component offsets into `comp_arc_ids` (length `components + 1`).
     comp_arc_start: Vec<usize>,
-    // -- per-component Edmonds scratch -----------------------------------
-    /// Working edge list of the level currently being built.
-    edges: Vec<WorkEdge>,
-    /// Pooled contraction level records.
-    levels: Vec<Level>,
-    /// Incumbent best-in weight per destination bucket.
-    best_weight: Vec<f64>,
-    /// Incumbent best-in root-edge flag per destination bucket.
-    best_root: Vec<bool>,
     /// Write cursors for the driver's arc-grouping counting sort.
     cursor: Vec<usize>,
-    /// Cycle-detection node state: 0 new, 1 on path, 2 done.
-    state: Vec<u8>,
-    /// Current functional-graph walk.
+    // -- per-component scratch -------------------------------------------
+    /// Local edges: the component's arcs in input order (local endpoints,
+    /// weight reduced by every contraction of the destination so far),
+    /// then one weight-0 virtual-root edge per node.
+    edges: Vec<WeightedArc>,
+    /// Contraction forest: input nodes `0..len`, the virtual root `len`,
+    /// then super-nodes in creation order.
+    slots: Vec<Slot>,
+    /// Pooled flat in-edge lists; a super-node's list is appended when
+    /// its cycle is contracted.
+    in_edges: Vec<usize>,
+    /// Current parent-pointer walk.
     path: Vec<usize>,
-    /// Contraction relabeling.
-    label: Vec<usize>,
-    /// Expansion: chosen in-edge per node of the current level.
-    selected: Vec<usize>,
-    /// Expansion: lower-level edge entering each node, if any.
-    entered: Vec<usize>,
-    /// Expansion: chosen in-edge per node of the level below.
-    lower_selected: Vec<usize>,
-}
-
-impl Level {
-    /// Prepares the record for a level with `node_count` nodes; `edges`
-    /// and `cycle_of` are (re)filled by the caller.
-    fn reset(&mut self, node_count: usize) {
-        self.node_count = node_count;
-        self.best_in.clear();
-        self.best_in.resize(node_count, NONE);
-        self.cycle_of.clear();
-        self.cycle_of.resize(node_count, NONE);
-    }
+    /// Members of the cycles found at the current level, cycle by cycle.
+    cycle_nodes: Vec<usize>,
+    /// End offset into `cycle_nodes` of each cycle.
+    cycle_ends: Vec<usize>,
+    /// Nodes the current level walks from: every input node at level
+    /// 0, then the super-nodes formed by the last contraction.
+    fresh: Vec<usize>,
 }
 
 /// Computes the same maximum-weight spanning branching as
@@ -151,11 +179,11 @@ impl Level {
 /// arc weakly connects its endpoints.
 ///
 /// The result is **bit-identical** to the single-run reference: the same
-/// arcs are selected (the deterministic tie-break sees each destination's
-/// candidate arcs in the same relative order) and `total_weight` is
-/// accumulated in the same ascending-node order. Singleton components and
-/// components without usable arcs short-circuit to roots without touching
-/// the Edmonds machinery.
+/// arcs are selected (every choice is the reference's "largest weight,
+/// then earliest arc" over the same reweighted candidates) and
+/// `total_weight` is accumulated in the same ascending-node order.
+/// Singleton components and components without usable arcs short-circuit
+/// to roots without touching the Edmonds machinery.
 ///
 /// # Panics
 ///
@@ -294,7 +322,7 @@ pub fn maximum_branching_components(
 }
 
 impl BranchingArena {
-    /// Runs arena-backed Chu-Liu/Edmonds on one component and writes the
+    /// Runs incremental Chu-Liu/Edmonds on one component and writes the
     /// selected arcs into the global `parent`/`parent_arc` arrays.
     ///
     /// `local_of` must already map this component's nodes to `0..len`;
@@ -309,229 +337,205 @@ impl BranchingArena {
         parent: &mut [Option<usize>],
         parent_arc: &mut [Option<usize>],
     ) {
-        let comp_len = comp.len();
-        let root = comp_len;
+        let len = comp.len();
+        let root = len;
 
-        // Level-0 working edges: the component's arcs in input order
-        // (carrying their *global* arc index as `parent_edge`), then the
-        // virtual-root edges — the same real-arcs-then-root-edges layout
-        // as the reference, so per-destination candidate order matches.
+        // Local edges in the reference's level-0 order: real arcs, then
+        // the virtual-root edges.
         self.edges.clear();
-        for k in arc_lo..arc_hi {
-            let ga = self.comp_arc_ids[k];
+        for &ga in &self.comp_arc_ids[arc_lo..arc_hi] {
             let a = &arcs[ga];
-            self.edges.push(WorkEdge {
+            self.edges.push(WeightedArc {
                 src: self.local_of[a.src],
                 dst: self.local_of[a.dst],
                 weight: a.weight,
-                parent_edge: ga,
-                root_edge: false,
             });
         }
-        for v in 0..comp_len {
-            self.edges.push(WorkEdge {
-                src: root,
-                dst: v,
-                weight: 0.0,
-                parent_edge: ROOT_ARC,
-                root_edge: true,
-            });
+        self.edges.extend((0..len).map(|v| WeightedArc {
+            src: root,
+            dst: v,
+            weight: 0.0,
+        }));
+
+        // Level 0: every node's first maximum-weight in-edge, and its
+        // in-edge list by a counting sort on the destination.
+        self.slots.clear();
+        self.slots.extend((0..=len).map(|v| Slot::new(v, 0)));
+        self.slots[root].rooted = true;
+        for (id, e) in self.edges.iter().enumerate() {
+            let slot = &mut self.slots[e.dst];
+            slot.end += 1;
+            if beats(&self.edges, id, slot.best_in) {
+                slot.best_in = id;
+            }
+        }
+        let mut offset = 0;
+        for slot in &mut self.slots {
+            slot.start = offset;
+            offset += slot.end;
+            slot.end = slot.start;
+        }
+        self.in_edges.clear();
+        self.in_edges.resize(self.edges.len(), NONE);
+        for (id, e) in self.edges.iter().enumerate() {
+            let slot = &mut self.slots[e.dst];
+            self.in_edges[slot.end] = id;
+            slot.end += 1;
         }
 
-        let mut node_count = comp_len + 1;
-        let mut root_label = root;
-        let mut level_count = 0usize;
-
+        // Contract level by level: level 0 walks from every input node,
+        // each later level from the super-nodes the last contraction
+        // formed. Walk ids grow monotonically, so a node visited at the
+        // current level is one whose `walk` is at least the level's first
+        // id.
+        self.fresh.clear();
+        self.fresh.extend(0..len);
+        let mut walks = 0usize;
         loop {
-            if self.levels.len() == level_count {
-                self.levels.push(Level::default());
+            self.cycle_nodes.clear();
+            self.cycle_ends.clear();
+            let level_start = walks + 1;
+            for i in 0..self.fresh.len() {
+                let s = self.fresh[i];
+                self.walk_from(s, level_start, &mut walks);
             }
-            // Move the record out so its buffers can be filled while the
-            // arena's other fields stay borrowable.
-            let mut level = std::mem::take(&mut self.levels[level_count]);
-            level.reset(node_count);
-            level.edges.clear();
-            std::mem::swap(&mut level.edges, &mut self.edges);
-
-            // 1. Best incoming edge per node, via destination buckets:
-            // `best_weight`/`best_root` shadow the incumbent edge's
-            // comparison key per destination, so each candidate costs one
-            // sequential edge read plus same-index bucket accesses —
-            // never a dependent re-read of the incumbent edge record the
-            // way the reference's `edges[cur]` comparison does.
-            self.best_weight.clear();
-            self.best_weight.resize(node_count, f64::NEG_INFINITY);
-            self.best_root.clear();
-            self.best_root.resize(node_count, false);
-            for (idx, e) in level.edges.iter().enumerate() {
-                if e.dst == root_label {
-                    continue;
-                }
-                let better = level.best_in[e.dst] == NONE
-                    || e.weight > self.best_weight[e.dst]
-                    || (e.weight == self.best_weight[e.dst]
-                        && self.best_root[e.dst]
-                        && !e.root_edge);
-                if better {
-                    level.best_in[e.dst] = idx;
-                    self.best_weight[e.dst] = e.weight;
-                    self.best_root[e.dst] = e.root_edge;
-                }
-            }
-
-            // 2. Cycle detection in the parent functional graph (identical
-            // to the reference walk; `cycle_of` ids follow discovery
-            // order, which only feeds relabeling, not selection).
-            self.state.clear();
-            self.state.resize(node_count, 0);
-            let mut cycle_count = 0usize;
-            for start in 0..node_count {
-                if self.state[start] != 0 {
-                    continue;
-                }
-                self.path.clear();
-                let mut v = start;
-                loop {
-                    if self.state[v] == 1 {
-                        // Found a cycle: the suffix of `path` starting at v.
-                        let pos = self
-                            .path
-                            .iter()
-                            .position(|&x| x == v)
-                            .expect("v is on path");
-                        for &x in &self.path[pos..] {
-                            level.cycle_of[x] = cycle_count;
-                        }
-                        cycle_count += 1;
-                        break;
-                    }
-                    if self.state[v] == 2 {
-                        break;
-                    }
-                    self.state[v] = 1;
-                    self.path.push(v);
-                    match level.best_in[v] {
-                        NONE => break,
-                        e => v = level.edges[e].src,
-                    }
-                }
-                for &x in &self.path {
-                    self.state[x] = 2;
-                }
-            }
-
-            if cycle_count == 0 {
-                self.levels[level_count] = level;
-                level_count += 1;
+            if self.cycle_ends.is_empty() {
                 break;
             }
-
-            // 3. Contract every cycle into a fresh super-node: non-cycle
-            // nodes keep their relative order, cycles append after.
-            self.label.clear();
-            self.label.resize(node_count, NONE);
-            let mut next_id = 0usize;
-            for (v, slot) in self.label.iter_mut().enumerate() {
-                if level.cycle_of[v] == NONE {
-                    *slot = next_id;
-                    next_id += 1;
-                }
-            }
-            let cycle_base = next_id;
-            for v in 0..node_count {
-                if level.cycle_of[v] != NONE {
-                    self.label[v] = cycle_base + level.cycle_of[v];
-                }
-            }
-            let new_count = cycle_base + cycle_count;
-            let new_root = self.label[root_label];
-
-            // `self.edges` is the (empty) buffer swapped out above; it
-            // becomes the next level's working edge list.
-            for (idx, e) in level.edges.iter().enumerate() {
-                let (lu, lv) = (self.label[e.src], self.label[e.dst]);
-                if lu == lv {
-                    continue;
-                }
-                let weight = if level.cycle_of[e.dst] != NONE {
-                    let chosen = level.best_in[e.dst];
-                    debug_assert_ne!(chosen, NONE, "cycle node has a parent");
-                    e.weight - level.edges[chosen].weight
-                } else {
-                    e.weight
-                };
-                self.edges.push(WorkEdge {
-                    src: lu,
-                    dst: lv,
-                    weight,
-                    parent_edge: idx,
-                    root_edge: e.root_edge,
-                });
-            }
-
-            self.levels[level_count] = level;
-            level_count += 1;
-            node_count = new_count;
-            root_label = new_root;
+            self.contract_cycles();
         }
 
-        // 4. Expand level by level; `selected` holds, per node of the
-        // current level, the chosen in-edge index at that level.
-        let top = level_count - 1;
-        self.selected.clear();
-        self.selected.extend_from_slice(&self.levels[top].best_in);
-        for k in (0..top).rev() {
-            {
-                let (low, high) = self.levels.split_at(k + 1);
-                let lower = &low[k];
-                let upper = &high[0];
-                self.entered.clear();
-                self.entered.resize(lower.node_count, NONE);
-                for &chosen in &self.selected {
-                    if chosen == NONE {
-                        continue;
-                    }
-                    let lower_edge = upper.edges[chosen].parent_edge;
-                    self.entered[lower.edges[lower_edge].dst] = lower_edge;
-                }
-                self.lower_selected.clear();
-                self.lower_selected.resize(lower.node_count, NONE);
-                for v in 0..lower.node_count {
-                    self.lower_selected[v] = if level_entered_or_plain(lower, &self.entered, v) {
-                        self.entered[v]
-                    } else {
-                        // Cycle members not entered from outside keep
-                        // their in-cycle parent.
-                        lower.best_in[v]
-                    };
-                }
-            }
-            std::mem::swap(&mut self.selected, &mut self.lower_selected);
-        }
-
-        // 5. Read off level 0 into the global arrays; `parent_edge` of a
-        // level-0 edge is the *global* arc index.
-        let base = &self.levels[0];
-        for (v, &e) in self.selected.iter().enumerate().take(comp_len) {
-            if e == NONE {
+        // Expand top-down (super-nodes are created after their members).
+        // A node not entered from above keeps its best in-edge; a
+        // super-node hands its edge down the chain of members containing
+        // the edge's level-0 destination, and those members are entered.
+        for s in (0..self.slots.len()).rev() {
+            if self.slots[s].chosen != NONE {
                 continue;
             }
-            let edge = &base.edges[e];
-            debug_assert_eq!(edge.dst, v);
-            if edge.parent_edge != ROOT_ARC {
-                let node = comp[v].index();
-                parent[node] = Some(arcs[edge.parent_edge].src);
-                parent_arc[node] = Some(edge.parent_edge);
+            let e = self.slots[s].best_in;
+            self.slots[s].chosen = e;
+            if s > root {
+                let mut x = self.edges[e].dst;
+                while x != s {
+                    self.slots[x].chosen = e;
+                    x = self.slots[x].up;
+                }
             }
+        }
+
+        // Read off the input nodes; local ids below the arc count are the
+        // component's arcs, the rest are virtual-root edges.
+        let arc_count = arc_hi - arc_lo;
+        for (v, node) in comp.iter().enumerate() {
+            let e = self.slots[v].chosen;
+            debug_assert_eq!(self.edges[e].dst, v, "node {v} keeps an edge entering it");
+            if e < arc_count {
+                let ga = self.comp_arc_ids[arc_lo + e];
+                parent[node.index()] = Some(arcs[ga].src);
+                parent_arc[node.index()] = Some(ga);
+            }
+        }
+    }
+
+    /// Follows parent pointers from `start` until the chain reaches the
+    /// virtual root, a node already walked at this level, or closes a
+    /// cycle, which is appended to `cycle_nodes`.
+    fn walk_from(&mut self, start: usize, level_start: usize, walks: &mut usize) {
+        let first = self.slots[start];
+        if first.rooted || first.walk >= level_start {
+            return;
+        }
+        *walks += 1;
+        let id = *walks;
+        self.path.clear();
+        let mut v = start;
+        loop {
+            let slot = self.slots[v];
+            if slot.rooted {
+                for &x in &self.path {
+                    self.slots[x].rooted = true;
+                }
+                return;
+            }
+            if slot.walk == id {
+                let pos = self
+                    .path
+                    .iter()
+                    .rposition(|&x| x == v)
+                    .expect("a node revisited by its own walk is on the path");
+                self.cycle_nodes.extend_from_slice(&self.path[pos..]);
+                self.cycle_ends.push(self.cycle_nodes.len());
+                return;
+            }
+            if slot.walk >= level_start {
+                // Joined an earlier walk of this level, which ended in a
+                // cycle (a rooted end would have marked the node).
+                return;
+            }
+            self.slots[v].walk = id;
+            self.path.push(v);
+            v = find(&mut self.slots, self.edges[slot.best_in].src);
+        }
+    }
+
+    /// Contracts every cycle found at this level into a fresh super-node
+    /// and records the new super-nodes in `fresh`.
+    fn contract_cycles(&mut self) {
+        self.fresh.clear();
+        let mut lo = 0;
+        for c in 0..self.cycle_ends.len() {
+            let hi = self.cycle_ends[c];
+            let s = self.slots.len();
+            self.slots.push(Slot::new(s, self.in_edges.len()));
+            for &m in &self.cycle_nodes[lo..hi] {
+                self.slots[m].rep = s;
+                self.slots[m].up = s;
+            }
+            let mut best = NONE;
+            for i in lo..hi {
+                let member = self.slots[self.cycle_nodes[i]];
+                let cycle_weight = self.edges[member.best_in].weight;
+                for k in member.start..member.end {
+                    let id = self.in_edges[k];
+                    if find(&mut self.slots, self.edges[id].src) == s {
+                        continue;
+                    }
+                    self.edges[id].weight -= cycle_weight;
+                    self.in_edges.push(id);
+                    if beats(&self.edges, id, best) {
+                        best = id;
+                    }
+                }
+            }
+            debug_assert_ne!(best, NONE, "a super-node keeps its virtual-root edges");
+            let slot = &mut self.slots[s];
+            slot.end = self.in_edges.len();
+            slot.best_in = best;
+            self.fresh.push(s);
+            lo = hi;
         }
     }
 }
 
-/// `true` if node `v` of `lower` takes whatever `entered` says (plain
-/// nodes always; cycle nodes only when an external edge entered at `v`).
-#[inline]
-fn level_entered_or_plain(lower: &Level, entered: &[usize], v: usize) -> bool {
-    lower.cycle_of[v] == NONE || entered[v] != NONE
+/// `true` if local edge `id` beats the incumbent `best` (or there is
+/// none): larger weight, then smaller local id.
+fn beats(edges: &[WeightedArc], id: usize, best: usize) -> bool {
+    let Some(incumbent) = edges.get(best) else {
+        return true;
+    };
+    let weight = edges[id].weight;
+    weight > incumbent.weight || (weight == incumbent.weight && id < best)
+}
+
+/// The uncontracted node currently containing `x`, halving the path.
+fn find(slots: &mut [Slot], mut x: usize) -> usize {
+    while slots[x].rep != x {
+        let next = slots[slots[x].rep].rep;
+        slots[x].rep = next;
+        x = next;
+    }
+    x
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //!   maximizing `Π w`.
 //! * [`maximum_branching_components`] — the same branching, bit for bit,
 //!   computed component by component against a reusable
-//!   [`BranchingArena`]; the allocation-lean fast path used by the RID
-//!   engine's forest extraction on large snapshots.
+//!   [`BranchingArena`] with incremental cycle contraction, which touches
+//!   only the in-edges of cycle members after the first level; the fast
+//!   path used by the RID engine's forest extraction.
 //! * [`BinaryTree`] / [`binarize`] — the §III-E3 transformation of an
 //!   arbitrary cascade tree into a binary tree by inserting dummy nodes
 //!   (paper's Figure 3), enabling the k-ISOMIT-BT dynamic program.

@@ -1,8 +1,10 @@
 //! Property-based tests: Edmonds branching optimality versus brute force,
-//! binarization invariants on random trees, component partitioning.
+//! component-wise branching versus the single-run reference, binarization
+//! invariants on random trees, component partitioning.
 
 use isomit_forest::{
-    binarize, maximum_branching, weakly_connected_components, UnionFind, WeightedArc,
+    binarize, maximum_branching, maximum_branching_components, weakly_connected_components,
+    BranchingArena, UnionFind, WeightedArc,
 };
 use isomit_graph::{Edge, NodeId, Sign, SignedDigraph};
 use proptest::prelude::*;
@@ -76,6 +78,79 @@ fn arb_arcs() -> impl Strategy<Value = (usize, Vec<WeightedArc>)> {
     })
 }
 
+/// Arc weights for the exactness properties: a small alphabet makes
+/// equal weights — and so tie-breaks, also between reweighted arcs at
+/// deeper contraction levels — the common case.
+const TIE_WEIGHTS: [f64; 6] = [0.0, 1.0 / 3.0, 0.5, 1.0, 0.25, 2.0 / 3.0];
+
+/// Random node partition plus arcs inside its groups: parallel arcs,
+/// reciprocal pairs and dense groups (nested cycles) are all common.
+/// Groups need not be weakly connected, and node ids interleave across
+/// groups.
+fn arb_grouped_arcs() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>, Vec<WeightedArc>)> {
+    (1usize..40).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(0usize..4, n),
+            proptest::collection::vec(
+                (any::<usize>(), any::<usize>(), 0..TIE_WEIGHTS.len(), 0u8..4),
+                0..120,
+            ),
+        )
+            .prop_map(move |(group_of, raw)| {
+                let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); 4];
+                for (v, &g) in group_of.iter().enumerate() {
+                    groups[g].push(NodeId::from_index(v));
+                }
+                let mut arcs = Vec::new();
+                for (a, b, w, kind) in raw {
+                    let members = &groups[group_of[a % n]];
+                    if members.len() < 2 {
+                        continue;
+                    }
+                    let i = a % members.len();
+                    let mut j = b % members.len();
+                    if i == j {
+                        j = (j + 1) % members.len();
+                    }
+                    let (src, dst) = (members[i].index(), members[j].index());
+                    let weight = TIE_WEIGHTS[w];
+                    arcs.push(WeightedArc { src, dst, weight });
+                    match kind {
+                        0 => arcs.push(WeightedArc {
+                            src: dst,
+                            dst: src,
+                            weight: TIE_WEIGHTS[(w + 1) % TIE_WEIGHTS.len()],
+                        }),
+                        1 => arcs.push(WeightedArc { src, dst, weight }),
+                        _ => {}
+                    }
+                }
+                groups.retain(|g| !g.is_empty());
+                (n, groups, arcs)
+            })
+    })
+}
+
+/// Asserts that the component-wise driver reproduced the reference:
+/// equal `parent` and `parent_arc`, bit-equal `total_weight`.
+fn assert_bit_identical(
+    n: usize,
+    components: &[Vec<NodeId>],
+    arcs: &[WeightedArc],
+    arena: &mut BranchingArena,
+) {
+    let reference = maximum_branching(n, arcs);
+    let fast = maximum_branching_components(n, arcs, components, arena);
+    for v in 0..n {
+        prop_assert_eq!(fast.parent(v), reference.parent(v), "parent of {}", v);
+        prop_assert_eq!(fast.parent_arc(v), reference.parent_arc(v), "arc of {}", v);
+    }
+    prop_assert_eq!(
+        fast.total_weight().to_bits(),
+        reference.total_weight().to_bits()
+    );
+}
+
 /// Random tree as a children-list structure plus its root.
 fn arb_tree() -> impl Strategy<Value = (usize, Vec<Vec<usize>>)> {
     (1usize..40).prop_flat_map(|n| {
@@ -135,6 +210,25 @@ proptest! {
             .map(|a| arcs[a].weight)
             .sum();
         prop_assert!((sum - b.total_weight()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn component_branching_is_bit_identical_to_the_reference(
+        (n, components, arcs) in arb_grouped_arcs(),
+    ) {
+        assert_bit_identical(n, &components, &arcs, &mut BranchingArena::default());
+    }
+
+    #[test]
+    fn reused_arena_stays_bit_identical_across_sizes(
+        graphs in proptest::collection::vec(arb_grouped_arcs(), 1..5),
+    ) {
+        // One arena for graphs of different sizes, in both orders: pooled
+        // buffers sized by an earlier call must not leak into a later one.
+        let mut arena = BranchingArena::default();
+        for (n, components, arcs) in graphs.iter().chain(graphs.iter().rev()) {
+            assert_bit_identical(*n, components, arcs, &mut arena);
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use isomit_graph::json::Value;
 use isomit_graph::{io, jaccard_coefficient, jaccard_weights, Edge, NodeId, Sign, SignedDigraph};
 use proptest::prelude::*;
-use std::time::{Duration, Instant};
 
 /// Strategy producing a valid edge set over `n` nodes (no self-loops,
 /// weights in [0, 1]).
@@ -240,38 +239,4 @@ proptest! {
         let (sub, _map) = g.induced_subgraph(kept);
         prop_assert!(sub.validate().is_ok());
     }
-}
-
-#[test]
-fn string_heavy_parse_time_scales_linearly() {
-    // Snapshot-like records: one short state string and one longer
-    // label per node, with escapes and multibyte characters.
-    fn document(records: usize) -> String {
-        let items: Vec<String> = (0..records)
-            .map(|i| format!(r#"{{"state":"+","label":"node {i} \"é\" \\ 中"}}"#))
-            .collect();
-        format!("[{}]", items.join(","))
-    }
-    fn best_of_5(text: &str) -> Duration {
-        (0..5)
-            .map(|_| {
-                let started = Instant::now();
-                let parsed = Value::parse(text);
-                let elapsed = started.elapsed();
-                assert!(parsed.is_ok());
-                elapsed
-            })
-            .min()
-            .expect("five timings")
-    }
-    // Linear parsing reads ~4 here and quadratic ~16, so a 6x bound
-    // leaves room for noise on both sides.
-    let small = document(2_000);
-    let large = document(8_000);
-    let ratio = best_of_5(&large).as_secs_f64() / best_of_5(&small).as_secs_f64();
-    assert!(
-        ratio <= 6.0,
-        "quadrupling a {} byte document multiplied parse time by {ratio:.2}",
-        small.len()
-    );
 }

@@ -768,13 +768,14 @@ fn stats_expose_watch_telemetry() {
 
 #[test]
 fn queued_work_past_its_deadline_is_rejected() {
-    let daemon = Daemon::spawn(&["--workers", "1", "--queue", "4", "--timeout-ms", "1"]);
+    let daemon = Daemon::spawn(&["--workers", "1", "--queue", "4", "--timeout-ms", "100"]);
 
     // The blocker and the rid go out in one write on one connection, so
     // the rid is framed and enqueued while the blocker holds the single
-    // worker. 2000 runs keep that worker busy for about a second in a
-    // debug build and half a second in a release build, far past the
-    // 1 ms deadline.
+    // worker. The deadline must exceed the blocker's own wait for the
+    // idle worker, which can pass 1 ms, and stay below its run time:
+    // 2000 runs keep the worker busy for about a second in a debug build
+    // and half a second in a release build, far past 100 ms.
     let blocker =
         "{\"id\":1,\"type\":\"simulate\",\"seeds\":[[0,1],[5,-1]],\"runs\":2000,\"seed\":1}";
     let rid = encode_request(
@@ -789,18 +790,24 @@ fn queued_work_past_its_deadline_is_rejected() {
     conn.write_all(format!("{blocker}\n{rid}\n").as_bytes())
         .expect("write blocker and rid");
     let mut replies = BufReader::new(conn).lines();
-    let rid_reply = loop {
+    let (mut blocker_reply, mut rid_reply) = (None, None);
+    while blocker_reply.is_none() || rid_reply.is_none() {
         let line = replies
             .next()
             .expect("daemon closed the connection")
             .expect("read reply");
         let reply = parse_response(&line).expect("reply envelope");
-        if reply.id == Some(2) {
-            break reply.outcome;
+        match reply.id {
+            Some(1) => blocker_reply = Some(reply.outcome),
+            Some(2) => rid_reply = Some(reply.outcome),
+            other => panic!("unexpected reply id {other:?}"),
         }
-    };
+    }
+    if let Some(Err(err)) = blocker_reply {
+        panic!("the blocker must be served, not rejected: {err}");
+    }
     match rid_reply {
-        Err(err) => {
+        Some(Err(err)) => {
             assert_eq!(err.kind, ErrorKind::DeadlineExceeded, "{err}");
         }
         other => panic!("expected deadline_exceeded, got {other:?}"),

@@ -11,6 +11,9 @@
 //!   scheduling overhead, not parallelism, and must not set a baseline);
 //! * the wide-vs-scalar Monte-Carlo speedup falls below the committed
 //!   floor for its artifact;
+//! * the component-wise forest extraction's speedup over the single-run
+//!   reference (`forest_extraction/comparison` `speedup` in
+//!   `BENCH_scale.json`) falls below `floors.extract_speedup`;
 //! * `sampling_ns` in `BENCH_scale.json` regresses more than 25% against
 //!   the baseline recorded for the **same workload** (nodes, edges,
 //!   snapshot count). Workloads without a committed baseline are warned
@@ -398,6 +401,15 @@ pub fn run_bench_check(root: &Path, update: bool) -> Result<BenchCheckOutcome, S
         &mut out,
     );
     check_speedup_floor(
+        "BENCH_scale.json",
+        &scale_entries,
+        "forest_extraction",
+        "comparison",
+        "speedup",
+        floor(&baselines, "extract_speedup")?,
+        &mut out,
+    );
+    check_speedup_floor(
         "BENCH_incremental.json",
         &incremental_entries,
         "incremental",
@@ -580,21 +592,24 @@ mod tests {
     }
 
     #[test]
-    fn incremental_floor_survives_baseline_updates() {
+    fn speedup_floors_survive_baseline_updates() {
         let doc = artifact(
             r#"{"group":"dataset","id":"graph","metrics":{"nodes":10,"edges":20}},
                {"group":"dataset","id":"snapshots","metrics":{"count":1,"sampling_ns":100}}"#,
         );
-        let base = Value::parse(r#"{"floors":{"incremental_speedup":10}}"#).expect("parses");
+        let base = Value::parse(r#"{"floors":{"incremental_speedup":10,"extract_speedup":2}}"#)
+            .expect("parses");
         let updated = updated_baselines(&base, &metrics_entries(&doc)).expect("update succeeds");
-        assert_eq!(
-            updated
-                .get("floors")
-                .and_then(|f| f.get("incremental_speedup"))
-                .and_then(Value::as_f64),
-            Some(10.0),
-            "the incremental floor must survive --update-baselines"
-        );
+        for (key, floor) in [("incremental_speedup", 10.0), ("extract_speedup", 2.0)] {
+            assert_eq!(
+                updated
+                    .get("floors")
+                    .and_then(|f| f.get(key))
+                    .and_then(Value::as_f64),
+                Some(floor),
+                "floors.{key} must survive --update-baselines"
+            );
+        }
     }
 
     #[test]
